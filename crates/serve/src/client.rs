@@ -2,42 +2,56 @@
 //! the CI smoke script, and the in-process integration tests. The
 //! one-shot [`post`]/[`get`] helpers open a fresh connection per
 //! request (`Connection: close`); the [`Client`] struct keeps one
-//! connection alive across requests and tracks its reuse rate.
+//! connection alive across requests and tracks its reuse rate. Both
+//! frame responses with the server's own head parser (see
+//! [`crate::http`]).
 
-use std::io::{Read, Write};
+use crate::http::{read_response, ReadBuf};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Send one request and return `(status, body)`.
+/// Open a connection with `TCP_NODELAY` and 30 s I/O timeouts.
+fn connect(addr: &str) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    Ok(stream)
+}
+
+/// Write one request and read its response off `stream`. Returns
+/// `(status, server_wants_close, body)`.
+fn exchange(
+    stream: &mut TcpStream,
+    rbuf: &mut ReadBuf,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    close: bool,
+) -> Result<(u16, bool, String), String> {
+    let payload = body.unwrap_or("");
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{connection}\r\n{payload}",
+        payload.len()
+    );
+    stream.write_all(req.as_bytes()).map_err(|e| format!("write to {addr} failed: {e}"))?;
+    read_response(stream, rbuf).map_err(|e| format!("response from {addr}: {e}"))
+}
+
+/// Send one request on a fresh connection and return `(status, body)`.
 pub fn http_request(
     addr: &str,
     method: &str,
     path: &str,
     body: Option<&str>,
 ) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let payload = body.unwrap_or("");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(req.as_bytes()).map_err(|e| format!("write to {addr} failed: {e}"))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| format!("read from {addr} failed: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, resp_body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response from {addr}: no header terminator"))?;
-    let status_line = head.lines().next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line from {addr}: `{status_line}`"))?;
-    Ok((status, resp_body.to_string()))
+    let mut stream = connect(addr)?;
+    let (status, _, body) =
+        exchange(&mut stream, &mut ReadBuf::new(), addr, method, path, body, true)?;
+    Ok((status, body))
 }
 
 /// POST a JSON body on a fresh connection.
@@ -57,6 +71,7 @@ pub fn get(addr: &str, path: &str) -> Result<(u16, String), String> {
 pub struct Client {
     addr: String,
     stream: Option<TcpStream>,
+    rbuf: ReadBuf,
     requests: u64,
     connects: u64,
 }
@@ -64,7 +79,13 @@ pub struct Client {
 impl Client {
     /// Client for `addr` (`host:port`); connects lazily.
     pub fn new(addr: &str) -> Self {
-        Client { addr: addr.to_string(), stream: None, requests: 0, connects: 0 }
+        Client {
+            addr: addr.to_string(),
+            stream: None,
+            rbuf: ReadBuf::new(),
+            requests: 0,
+            connects: 0,
+        }
     }
 
     /// Requests sent so far.
@@ -121,26 +142,16 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> Result<(u16, String), String> {
-        let addr = self.addr.clone();
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(&addr)
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-            self.connects += 1;
-            self.stream = Some(stream);
-        }
-        let stream = match self.stream.as_mut() {
+        let stream = match &mut self.stream {
             Some(s) => s,
-            None => return Err(format!("no connection to {addr}")),
+            None => {
+                let fresh = connect(&self.addr)?;
+                self.rbuf = ReadBuf::new();
+                self.connects += 1;
+                self.stream.insert(fresh)
+            }
         };
-        let payload = body.unwrap_or("");
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{payload}",
-            payload.len()
-        );
-        let result = write_and_read(stream, &req, &addr);
-        match result {
+        match exchange(stream, &mut self.rbuf, &self.addr, method, path, body, false) {
             Ok((status, server_close, body)) => {
                 if server_close {
                     self.stream = None;
@@ -153,63 +164,4 @@ impl Client {
             }
         }
     }
-}
-
-/// Write a request and read one `Content-Length`-framed response off a
-/// kept-alive stream. Returns `(status, server_wants_close, body)`.
-fn write_and_read(
-    stream: &mut TcpStream,
-    req: &str,
-    addr: &str,
-) -> Result<(u16, bool, String), String> {
-    stream.write_all(req.as_bytes()).map_err(|e| format!("write to {addr} failed: {e}"))?;
-
-    // Read headers.
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let header_end = loop {
-        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break i;
-        }
-        let n = stream.read(&mut chunk).map_err(|e| format!("read from {addr} failed: {e}"))?;
-        if n == 0 {
-            return Err(format!("connection to {addr} closed mid-response"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let status_line = head.lines().next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line from {addr}: `{status_line}`"))?;
-    let mut content_length = 0usize;
-    let mut server_close = false;
-    for line in head.lines().skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            let (name, value) = (name.trim(), value.trim());
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .parse()
-                    .map_err(|_| format!("bad Content-Length from {addr}: `{value}`"))?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.eq_ignore_ascii_case("close")
-            {
-                server_close = true;
-            }
-        }
-    }
-
-    // Read the body up to Content-Length.
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| format!("read from {addr} failed: {e}"))?;
-        if n == 0 {
-            return Err(format!("connection to {addr} closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok((status, server_close, String::from_utf8_lossy(&body).into_owned()))
 }

@@ -28,7 +28,9 @@
 //! are bit-identical with tracing on or off.
 
 use crate::cache::{canonical_bytes, fnv1a, EncodeCache};
-use crate::http::{read_request, write_response, Request, ResponseMeta, IO_TIMEOUT, KEEP_ALIVE_IDLE};
+use crate::http::{
+    read_request, write_response, ReadBuf, Request, ResponseMeta, IO_TIMEOUT, KEEP_ALIVE_IDLE,
+};
 use crate::protocol::{HealthResponse, MetricsResponse, ServeError};
 use crate::queue::{BatchQueue, Job, ShapeKey};
 use crate::session::{exec_to_serve, Session};
@@ -348,6 +350,10 @@ fn accept_loop(listener: &TcpListener, ctx: &ServerCtx) {
         match listener.accept() {
             Ok((mut stream, _)) => {
                 let _ = stream.set_nonblocking(false);
+                // Responses are single writes; nothing is gained by
+                // holding a small one back to coalesce with the next.
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                 handle_conn(&mut stream, ctx);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -360,12 +366,15 @@ fn accept_loop(listener: &TcpListener, ctx: &ServerCtx) {
 
 /// Serve one connection: a keep-alive loop reading requests until the
 /// peer closes, asks to close, idles out, or the server is stopping.
+/// Pipelined requests are answered in order: bytes read past one
+/// request stay in the connection's buffer as the start of the next.
 fn handle_conn(stream: &mut TcpStream, ctx: &ServerCtx) {
+    let mut rbuf = ReadBuf::new();
     let mut first = true;
     loop {
         let idle = if first { IO_TIMEOUT } else { KEEP_ALIVE_IDLE };
         first = false;
-        let req = match read_request(stream, idle) {
+        let req = match read_request(stream, &mut rbuf, idle) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean close or idle between requests
             Err(e) => {

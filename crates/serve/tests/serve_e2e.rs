@@ -543,3 +543,88 @@ fn admin_shutdown_flips_the_stop_flag() {
     assert!(handle.stop_requested());
     handle.shutdown();
 }
+
+/// Read one `Content-Length`-framed response off `stream` and return
+/// its raw bytes, head included. `pending` carries bytes read past the
+/// response (the start of the next) from call to call.
+fn read_raw_response(stream: &mut std::net::TcpStream, pending: &mut Vec<u8>) -> Vec<u8> {
+    use std::io::Read;
+    let mut chunk = [0u8; 4096];
+    let mut fill = |pending: &mut Vec<u8>| {
+        let n = stream.read(&mut chunk).expect("read");
+        assert!(n > 0, "connection closed mid-response");
+        pending.extend_from_slice(&chunk[..n]);
+    };
+    let head_end = loop {
+        if let Some(i) = pending.windows(4).position(|w| w == b"\r\n\r\n") {
+            break i + 4;
+        }
+        fill(pending);
+    };
+    let head = String::from_utf8_lossy(&pending[..head_end]).to_ascii_lowercase();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content-length");
+    while pending.len() < head_end + len {
+        fill(pending);
+    }
+    pending.drain(..head_end + len).collect()
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    use std::io::Write;
+    let session = Arc::new(make_session(52));
+    // No encode cache: every response says `"cached":false`, so the
+    // pipelined bodies can be compared with the unpipelined ones.
+    let (handle, addr) = serve(session, ServeOptions { cache_cap: 0, ..loopback_opts() });
+    let request = |i: usize| {
+        let body = serde_json::to_string(&TableRequest { table: sample_table(10 + i, 2 + i) })
+            .expect("json");
+        format!(
+            "POST /v1/encode HTTP/1.1\r\nHost: {addr}\r\nx-request-id: pipe-{i}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let (a, b) = (request(0), request(1));
+
+    let mut solo = Vec::new();
+    for req in [&a, &b] {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.write_all(req.as_bytes()).expect("write");
+        solo.push(read_raw_response(&mut stream, &mut Vec::new()));
+    }
+    assert_ne!(solo[0], solo[1], "the two requests must differ");
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.write_all(format!("{a}{b}").as_bytes()).expect("write");
+    let mut pending = Vec::new();
+    for (i, want) in solo.iter().enumerate() {
+        let got = read_raw_response(&mut stream, &mut pending);
+        assert!(got.starts_with(b"HTTP/1.1 200 OK\r\n"), "response {i}");
+        assert!(got == *want, "pipelined response {i} differs from the unpipelined one");
+    }
+    assert!(pending.is_empty(), "no bytes past the second response");
+    handle.shutdown();
+}
+
+#[test]
+fn kept_alive_requests_do_not_stall_on_delayed_acks() {
+    let session = Arc::new(make_session(53));
+    let (handle, addr) = serve(session, loopback_opts());
+    let mut client = turl_serve::Client::new(&addr);
+    client.get("/healthz").expect("warm-up");
+    // A response written as two segments waits for the peer's delayed
+    // ACK (~40 ms on Linux) each time; 50 such requests take ~2 s.
+    let t0 = std::time::Instant::now();
+    for _ in 0..50 {
+        let (status, _) = client.get("/healthz").expect("healthz");
+        assert_eq!(status, 200);
+    }
+    let elapsed = t0.elapsed();
+    assert_eq!(client.connects(), 1, "all requests share one connection");
+    assert!(elapsed < std::time::Duration::from_secs(1), "50 kept-alive requests took {elapsed:?}");
+    handle.shutdown();
+}
